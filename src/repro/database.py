@@ -26,7 +26,7 @@ from repro.data.generator import GeneratedTable
 from repro.design.materialize import MaterializedView, ViewRouter, materialize_view
 from repro.engine.context import ExecutionContext
 from repro.engine.executor import QueryResult, run_scan
-from repro.engine.hybrid import build_overlay, run_scan_with_store
+from repro.engine.hybrid import HybridOverlay, build_overlay
 from repro.engine.governance import (
     CancellationToken,
     CircuitBreaker,
@@ -482,8 +482,8 @@ class Database:
         hangs and never returns a partial result.  They require a
         ``context`` without a governance of its own (or none).
         """
-        entry = self._entry(table)
         scan = ScanQuery(table, select=select, predicates=predicates)
+        target, overlay = self._resolve_target(table, scan, layout, use_views)
         if timeout is not None or memory_budget is not None or cancellation is not None:
             context = context or ExecutionContext()
             if context.governance is not None:
@@ -497,25 +497,12 @@ class Database:
                 token=cancellation,
                 label=f"query on {table}",
             )
-        store = entry.store
-        hybrid = store.has_changes
-        target: Table
-        if layout is not None:
-            target = self.table(table, layout)
-        elif use_views and not hybrid:
-            # A dirty write store bypasses views: they materialize the
-            # last merged snapshot, not the staged rows/deletes.
-            target, _source = entry.router.route(scan)
-        else:
-            target = entry.tables[self.layouts[0]]
-        if hybrid and obs_metrics.enabled():
-            obs_metrics.WRITE_HYBRID_QUERIES.inc()
+        result = None
         if workers > 1:
             workers = max(1, min(workers, os.cpu_count() or 1))
         if workers > 1:
             from repro.engine.parallel import parallel_query
 
-            overlay = build_overlay(store, scan) if hybrid else None
             try:
                 result = parallel_query(
                     target,
@@ -527,24 +514,16 @@ class Database:
                     policy=policy,
                     breaker=self.breaker,
                 )
-                # The overlay was snapshotted before the fan-out, so a
-                # concurrent merge cannot skew the remapping.
-                return overlay.apply(result) if overlay is not None else result
             except PlanError:
                 # Not decomposable: run the plain serial scan instead.
                 pass
-        if hybrid:
-            return run_scan_with_store(
-                target,
-                scan,
-                store,
-                context,
-                column_scanner=column_scanner,
-                salvage=salvage,
+        if result is None:
+            result = run_scan(
+                target, scan, context, column_scanner=column_scanner, salvage=salvage
             )
-        return run_scan(
-            target, scan, context, column_scanner=column_scanner, salvage=salvage
-        )
+        # The overlay was snapshotted before the scan (and any fan-out),
+        # so a concurrent merge cannot skew the remapping.
+        return overlay.apply(result) if overlay is not None else result
 
     # --- concurrent workloads ------------------------------------------------
 
@@ -554,16 +533,17 @@ class Database:
         scan: ScanQuery,
         layout: Layout | None,
         use_views: bool,
-    ):
-        """The table a scan runs against plus its hybrid post-transform.
+    ) -> tuple[Table, HybridOverlay | None]:
+        """The table a scan runs against plus its write-store overlay.
 
-        Returns ``(target, post)`` where ``post`` is ``None`` for a
-        clean table and otherwise applies the write-store overlay
-        (delete filtering, position remapping, staged-row append) to
-        the finished :class:`QueryResult`.  The overlay snapshots the
-        write store *now* — at submit time — so a scheduled query sees
-        a consistent image even if writes or a merge land while it is
-        queued.
+        The one routing decision every entry point shares: an explicit
+        ``layout``, else a covering view while the write store is clean
+        (views reflect the last merge), else the default layout.  The
+        overlay is ``None`` for a clean table; otherwise it is applied
+        to the finished :class:`QueryResult` (delete filtering, position
+        remapping, staged-row append).  It snapshots the write store
+        *now* — at submit time for a scheduled query — so the query sees
+        a consistent image even if writes or a merge land meanwhile.
         """
         entry = self._entry(table)
         hybrid = entry.store.has_changes
@@ -577,7 +557,7 @@ class Database:
             return target, None
         if obs_metrics.enabled():
             obs_metrics.WRITE_HYBRID_QUERIES.inc()
-        return target, build_overlay(entry.store, scan).apply
+        return target, build_overlay(entry.store, scan)
 
     def submit(
         self,
@@ -602,17 +582,15 @@ class Database:
         ``timeout``.
         """
         scan = ScanQuery(table, select=select, predicates=predicates)
-        target, post = self._resolve_target(table, scan, layout, use_views)
-        if self._scheduler is None:
-            self._scheduler = Scheduler()
-        return self._scheduler.submit(
+        target, overlay = self._resolve_target(table, scan, layout, use_views)
+        return self.scheduler.submit(
             target,
             scan,
             timeout=timeout,
             memory_budget=memory_budget,
             cancellation=cancellation,
             salvage=salvage,
-            post=post,
+            post=overlay.apply if overlay is not None else None,
             # Empty label falls through to the scheduler's unique
             # per-submission default (black-box slices key on it).
             label=label,
@@ -668,7 +646,7 @@ class Database:
                 select=tuple(request.select),
                 predicates=tuple(request.predicates),
             )
-            target, post = self._resolve_target(
+            target, overlay = self._resolve_target(
                 request.table, scan, layout, use_views
             )
             scheduler.submit(
@@ -677,7 +655,7 @@ class Database:
                 timeout=request.timeout,
                 memory_budget=request.memory_budget,
                 salvage=request.salvage,
-                post=post,
+                post=overlay.apply if overlay is not None else None,
                 # Unique per submission: the flight recorder slices
                 # black-box events by label.
                 label=request.label
@@ -766,42 +744,16 @@ class Database:
             ),
         )
 
-    def explain(
-        self,
-        table: str,
-        select: tuple[str, ...],
-        predicates: tuple[Predicate, ...] = (),
-        layout: Layout | None = None,
-        use_views: bool = True,
-        salvage: bool = False,
-        workers: int = 1,
-        partitions: int | None = None,
-        timeout: float | None = None,
-        memory_budget: int | None = None,
-        cancellation: CancellationToken | None = None,
-        policy: SupervisionPolicy | None = None,
-    ) -> str:
+    def explain(self, table: str, select: tuple[str, ...], *args, **kwargs) -> str:
         """EXPLAIN ANALYZE: execute the scan traced, render the plan.
 
-        Every plan node is annotated with its wall time, ``next()``
-        call/block/row counts, and its exclusive share of the query's
+        Takes the arguments of :meth:`profile`.  Every plan node is
+        annotated with its wall time, ``next()`` call/block/row counts,
+        and its exclusive share of the query's
         :class:`~repro.cpusim.events.CostEvents`.  Governed queries get
         a trailing governance section (see :meth:`profile`).
         """
-        return self.profile(
-            table,
-            select,
-            predicates,
-            layout=layout,
-            use_views=use_views,
-            salvage=salvage,
-            workers=workers,
-            partitions=partitions,
-            timeout=timeout,
-            memory_budget=memory_budget,
-            cancellation=cancellation,
-            policy=policy,
-        ).explain_text()
+        return self.profile(table, select, *args, **kwargs).explain_text()
 
     def predicate(self, table: str, attr: str, selectivity: float) -> Predicate:
         """A selectivity-calibrated predicate over registered data."""

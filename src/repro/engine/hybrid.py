@@ -10,22 +10,17 @@ snapshot of one table's pending edits, precomputed per query:
   filtered by its predicates, and positioned at rebuilt-table
   coordinates.
 
-The overlay is applied in one of two ways, chosen by the execution
-path:
-
-* **operator-level** (:func:`run_hybrid_scan`): the serial path wraps
-  the ordinary scan plan in ``HybridUnion(base, DeltaScan)`` so the
-  hybrid work is traced/governed like any other plan node;
-* **post-hoc** (:meth:`HybridOverlay.apply`): the parallel, scheduled,
-  and shared-scan paths run the base plan unchanged (their plumbing —
-  partitioning, timeslicing, scan sharing — neither knows nor cares
-  about deltas) and transform the materialized result afterwards.
-
-Both produce byte-identical output because the transformation is
-per-row and order-preserving.  :func:`run_scan_with_store` is the
-drop-in replacement for :func:`~repro.engine.executor.run_scan`: with
-no pending edits it falls through to the plain scan (one predicate
-check — this is the candidate arm of the empty-delta overhead gate in
+Every execution path applies the overlay the same way, after the
+fact (:meth:`HybridOverlay.apply`): the serial, parallel, scheduled and
+shared-scan paths run the base plan unchanged — their plumbing
+(partitioning, timeslicing, scan sharing) neither knows nor cares about
+deltas — and the materialized result is transformed once.  The
+transformation is per-row and order-preserving, so the result is
+byte-identical to scanning a freshly merged table.
+:func:`run_scan_with_store` is the drop-in replacement for
+:func:`~repro.engine.executor.run_scan`: with no pending edits it falls
+through to the plain scan (one predicate check — this is the candidate
+arm of the empty-delta overhead gate in
 ``benchmarks/check_tracing_overhead.py``).
 
 Snapshot semantics: an overlay captures the store's state at build
@@ -40,11 +35,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.engine.context import ExecutionContext
-from repro.engine.executor import QueryResult, execute_plan, run_scan
-from repro.engine.operators.delta import DeltaScan, HybridUnion
-from repro.engine.plan import ColumnScannerKind, scan_plan
+from repro.engine.executor import QueryResult, run_scan
+from repro.engine.plan import ColumnScannerKind
 from repro.engine.query import ScanQuery
-from repro.engine.blocks import Block
 from repro.storage.table import Table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -81,29 +74,11 @@ class HybridOverlay:
         self.delta_columns = delta_columns
         self.delta_positions = delta_positions
 
-    def transform_base_block(self, block: Block) -> Block:
-        """Filter deleted base rows out of one block and remap positions."""
-        if len(block) == 0:
-            return block
-        positions = block.positions
-        if self.deleted is not None:
-            keep = ~self.deleted[positions]
-            if not keep.all():
-                block = block.take(keep)
-                positions = block.positions
-            if len(block) == 0:
-                return block
-        remapped = positions.astype(np.int64, copy=True)
-        remapped -= self.shift[positions]
-        return Block(columns=block.columns, positions=remapped)
-
     def apply(self, result: QueryResult) -> QueryResult:
-        """Overlay a materialized base-scan result (post-hoc form).
+        """Overlay a materialized base-scan result.
 
-        Same transformation :class:`~repro.engine.operators.delta.
-        HybridUnion` performs block-at-a-time, applied once to the
-        collected output: drop deleted base rows, shift survivors to
-        rebuilt-table positions, append the qualifying delta rows.
+        Drop deleted base rows, shift survivors to rebuilt-table
+        positions, append the qualifying delta rows.
         """
         positions = result.positions
         columns = result.columns
@@ -134,7 +109,7 @@ def build_overlay(store: "WriteOptimizedStore", query: ScanQuery) -> HybridOverl
 
     Staged rows are filtered here — deleted-again staged rows dropped,
     the query's predicates evaluated vectorized on the staged columns —
-    so the operators downstream only stream precomputed arrays.
+    so applying the overlay only concatenates precomputed arrays.
     """
     base_rows = store.base_rows
     total_rows = store.total_rows
@@ -170,35 +145,6 @@ def build_overlay(store: "WriteOptimizedStore", query: ScanQuery) -> HybridOverl
     )
 
 
-def hybrid_plan(
-    context: ExecutionContext,
-    table: Table,
-    query: ScanQuery,
-    overlay: HybridOverlay,
-    column_scanner: ColumnScannerKind = ColumnScannerKind.PIPELINED,
-) -> HybridUnion:
-    """Wrap the ordinary scan plan in the hybrid operator layer."""
-    base = scan_plan(context, table, query, column_scanner)
-    delta = DeltaScan(context, overlay)
-    return HybridUnion(context, base, delta, overlay)
-
-
-def run_hybrid_scan(
-    table: Table,
-    query: ScanQuery,
-    overlay: HybridOverlay,
-    context: ExecutionContext | None = None,
-    column_scanner: ColumnScannerKind = ColumnScannerKind.PIPELINED,
-    salvage: bool = False,
-) -> QueryResult:
-    """Plan and execute one scan with the overlay as an operator layer."""
-    context = context or ExecutionContext()
-    if salvage:
-        context.strict_integrity = False
-    plan = hybrid_plan(context, table, query, overlay, column_scanner)
-    return execute_plan(plan)
-
-
 def run_scan_with_store(
     table: Table,
     query: ScanQuery,
@@ -215,5 +161,6 @@ def run_scan_with_store(
     """
     if store is None or not store.has_changes:
         return run_scan(table, query, context, column_scanner, salvage)
+    # Snapshot the edits before the scan runs.
     overlay = build_overlay(store, query)
-    return run_hybrid_scan(table, query, overlay, context, column_scanner, salvage)
+    return overlay.apply(run_scan(table, query, context, column_scanner, salvage))

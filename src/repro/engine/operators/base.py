@@ -15,18 +15,10 @@ subtracted out by the tracer's stack).  With the default
 from __future__ import annotations
 
 import abc
-import time
 
 from repro.engine.blocks import Block
 from repro.engine.context import ExecutionContext
-from repro.errors import CompressionError, EngineError, StorageError
-from repro.obs import metrics as obs_metrics
-from repro.obs import recorder as flight
-
-#: What salvage mode treats as "this page is corrupt, skip it": checksum
-#: mismatches, malformed page bytes, codec failures, missing pages, and
-#: transient faults whose retry budget is exhausted.
-SALVAGEABLE_ERRORS = (StorageError, CompressionError)
+from repro.errors import EngineError
 
 
 class Operator(abc.ABC):
@@ -47,48 +39,15 @@ class Operator(abc.ABC):
     def _governance_check(self) -> None:
         """One cooperative checkpoint (deadline/cancellation).
 
-        Called per ``next()`` by the base class and again inside the
-        scanners' per-page loops, so a cancel or deadline lands within
-        one page's worth of work even when a single ``_next()`` decodes
-        many pages (or, for the late-materialized architectures, the
-        entire column).
+        Called per ``next()`` by the base class and, through the page
+        source (:mod:`repro.engine.pages`), before every page a reader
+        reads, so a cancel or deadline lands within one page's worth of
+        work even when a single ``_next()`` decodes many pages (or, for
+        the late-materialized architectures, the entire column).
         """
         governance = self.context.governance
         if governance is not None:
             governance.check(type(self).__name__)
-
-    def _salvage_decode(self, decode, file_name: str, page_index: int, row_span: int):
-        """Run one page read+decode under the integrity policy.
-
-        Strict mode lets any error propagate (a checksum mismatch aborts
-        the query).  Salvage mode records the fault — with the page's
-        nominal row span as the loss estimate — and returns ``None`` so
-        the caller skips the page while keeping position accounting
-        consistent.
-        """
-        try:
-            if obs_metrics.enabled():
-                started = time.perf_counter()
-                result = decode()
-                obs_metrics.PAGE_DECODE_SECONDS.observe(time.perf_counter() - started)
-            else:
-                result = decode()
-        except SALVAGEABLE_ERRORS as exc:
-            if self.context.strict_integrity:
-                raise
-            obs_metrics.PAGES_SALVAGED.inc()
-            governance = self.context.governance
-            flight.record(
-                "storage.salvage",
-                governance.label if governance is not None else None,
-                file=file_name,
-                page=page_index,
-                error=type(exc).__name__,
-            )
-            self.context.corruption.record(file_name, page_index, row_span, exc)
-            return None
-        self.context.corruption.pages_scanned += 1
-        return result
 
     def open(self) -> None:
         """Prepare for iteration; children are opened first."""

@@ -33,7 +33,13 @@ from repro.cpusim.cache import classify_page_access, page_lines
 from repro.engine.blocks import Block, split_into_blocks
 from repro.engine.context import ExecutionContext
 from repro.engine.operators.base import Operator
-from repro.engine.operators.scan_row import normalize_row_range
+from repro.engine.pages import (
+    PageSource,
+    apply_predicates,
+    describe_scan,
+    normalize_row_range,
+    window_mask,
+)
 from repro.engine.predicate import Predicate
 from repro.errors import PlanError
 from repro.storage.table import ColumnFile, ColumnTable
@@ -108,12 +114,7 @@ class ColumnScanner(Operator):
     # --- execution -------------------------------------------------------------
 
     def describe(self) -> str:
-        detail = f"{self.table.schema.name}: {', '.join(self.select)}"
-        if self.predicates:
-            detail += f" | {len(self.predicates)} predicate(s)"
-        lo, hi = self.row_range
-        if (lo, hi) != (0, self.table.num_rows):
-            detail += f" | rows [{lo}, {hi})"
+        detail = describe_scan(self.table, self.select, self.predicates, self.row_range)
         return f"{detail} | {len(self._nodes)} scan node(s)"
 
     def _open(self) -> None:
@@ -144,6 +145,12 @@ class ColumnScanner(Operator):
         self.events.blocks_produced -= self._block_count(positions.size)
         self._emit(positions, collected)
 
+    def _source(self, node: _ScanNode, decode=None) -> PageSource:
+        page_file = node.column_file.page_file(self.table.num_rows)
+        if decode is not None:
+            page_file = page_file._replace(decode=decode)
+        return PageSource.for_reader(self, page_file)
+
     def _run_first_node(self, node: _ScanNode) -> tuple[np.ndarray, dict]:
         """Dense scan of the deepest column."""
         events = self.events
@@ -153,60 +160,35 @@ class ColumnScanner(Operator):
         codec = page_codec.codec
         bits = codec.bits_per_value
         code_predicates = self._code_predicates(node, codec)
+        decode = None
+        if code_predicates is not None:
+
+            def decode(raw):
+                _pid, count, payload, _state = page_codec.decode_raw(raw)
+                return count, {node.attr: codec.decode_codes(payload, count)}
+
         lo, hi = self.row_range
         qualified_positions = []
         qualified_values = []
-        row_base = 0
-        file = node.column_file.file
-        for page_index in range(file.num_pages):
-            self._governance_check()
-            span = node.column_file.row_span_of_page(page_index, self.table.num_rows)
-            if row_base >= hi:
-                break
-            if row_base + span <= lo:
-                # Page entirely before the row window: skip without I/O.
-                row_base += span
-                continue
-
-            def decode(page_index=page_index):
-                _pid, count, payload, state = page_codec.decode_raw(
-                    file.read_page(page_index)
-                )
-                if code_predicates is not None:
-                    return count, codec.decode_codes(payload, count)
-                return count, codec.decode_page(payload, count, state)
-
-            decoded = self._salvage_decode(decode, file.name, page_index, span)
+        for row_base, decoded in self._source(node, decode).scan(lo, hi):
             if decoded is None:
                 # Salvage: the page's rows vanish from the position
-                # list; advancing by the nominal span keeps every later
-                # node's position→page mapping aligned.
-                row_base += span
+                # list; every later node's position→page mapping stays
+                # aligned because the page source advances by its span.
                 continue
-            count, data = decoded
-
-            # Restrict to the scanner's row window: the page is decoded
-            # (and charged) whole, but out-of-window values are never
-            # compared or copied.
-            start = max(0, lo - row_base)
-            stop = max(start, min(count, hi - row_base))
-            in_range = stop - start
+            count, columns = decoded
+            mask, in_range = window_mask(count, row_base, lo, hi)
 
             events.pages_touched += 1
             events.values_examined += count
             events.mem_seq_lines += page_lines(count, bits, calibration.l2_line_bytes)
             events.l1_lines += page_lines(count, bits, calibration.l1_line_bytes)
 
-            if in_range == count:
-                mask = np.ones(count, dtype=bool)
-            else:
-                mask = np.zeros(count, dtype=bool)
-                mask[start:stop] = True
             if code_predicates is not None:
                 # Compressed execution: compare the packed codes; the
                 # only work per value is the bit extraction, and the
                 # comparison operand is the narrow code, not the value.
-                codes = data
+                codes = columns[node.attr]
                 events.count_decode(CodecKind.PACK, count)
                 code_bytes = max(1, codec.bits_per_value // 8)
                 for index, code_predicate in enumerate(code_predicates):
@@ -222,21 +204,22 @@ class ColumnScanner(Operator):
                 else:
                     values = np.zeros(0, dtype=codec.attr_type.numpy_dtype())
             else:
-                values = data
                 events.count_decode(spec.kind, count)
-                for index, predicate in enumerate(node.predicates):
-                    candidates = in_range if index == 0 else int(np.count_nonzero(mask))
-                    events.predicate_evals += candidates
-                    events.predicate_eval_bytes += candidates * node.width
-                    mask &= predicate.evaluate(values)
+                mask = apply_predicates(
+                    events,
+                    node.predicates,
+                    columns,
+                    mask,
+                    in_range,
+                    self.table.schema,
+                )
                 qualified = int(np.count_nonzero(mask))
-                values = values[mask]
+                values = columns[node.attr][mask]
             if qualified:
                 events.values_copied += qualified
                 events.bytes_copied += qualified * (node.width + _POSITION_BYTES)
                 qualified_positions.append(row_base + np.flatnonzero(mask))
                 qualified_values.append(values)
-            row_base += count
 
         if qualified_positions:
             positions = np.concatenate(qualified_positions)
@@ -274,64 +257,60 @@ class ColumnScanner(Operator):
 
         events.positions_processed += positions.size
 
-        values = np.zeros(0, dtype=codec.attr_type.numpy_dtype())
-        if positions.size:
-            page_ids = node.column_file.page_of_positions(positions)
-            keep = np.ones(positions.size, dtype=bool)
-            chunks = []
-            for page_id in np.unique(page_ids):
-                self._governance_check()
-                selector = page_ids == page_id
-                in_page = positions[selector] - node.column_file.first_row_of_page(
-                    int(page_id)
-                )
+        column_file = node.column_file
+        page_codec = column_file.page_codec
 
-                def decode(page_id=page_id, in_page=in_page):
-                    page = node.column_file.file.read_page(int(page_id))
-                    _pid, count, payload, state = (
-                        node.column_file.page_codec.decode_raw(page)
-                    )
-                    page_values, decoded = codec.decode_positions(
-                        payload, count, state, in_page
-                    )
-                    return count, page_values, decoded
+        def decode(raw, page_id, start, stop):
+            in_page = positions[start:stop] - column_file.first_row_of_page(page_id)
+            _pid, count, payload, state = page_codec.decode_raw(raw)
+            page_values, decoded = codec.decode_positions(
+                payload, count, state, in_page
+            )
+            return count, page_values, decoded, in_page
 
-                result = self._salvage_decode(
-                    decode, node.column_file.file.name, int(page_id), int(in_page.size)
-                )
-                if result is None:
-                    # Salvage: this column cannot supply these rows, so
-                    # they are dropped from the pipeline — the position
-                    # list and every already-collected column shrink in
-                    # lockstep below.
-                    keep &= ~selector
-                    continue
-                count, page_values, decoded = result
-                chunks.append(page_values)
+        keep = np.ones(positions.size, dtype=bool)
+        chunks = []
+        page_ids = column_file.page_of_positions(positions)
+        for _page_id, start, stop, result in self._source(node).read_positions(
+            page_ids, decode
+        ):
+            if result is None:
+                # Salvage: this column cannot supply these rows, so
+                # they are dropped from the pipeline — the position
+                # list and every already-collected column shrink in
+                # lockstep below.
+                keep[start:stop] = False
+                continue
+            count, page_values, decoded, in_page = result
+            chunks.append(page_values)
 
-                events.pages_touched += 1
-                events.count_decode(spec.kind, decoded)
-                seq, rand = classify_page_access(
-                    in_page, count, bits, calibration.l2_line_bytes
-                )
-                events.mem_seq_lines += seq
-                events.mem_rand_lines += rand
-                l1_seq, l1_rand = classify_page_access(
-                    in_page, count, bits, calibration.l1_line_bytes
-                )
-                events.l1_lines += l1_seq + l1_rand
-            if not keep.all():
-                positions = positions[keep]
-                collected = {name: col[keep] for name, col in collected.items()}
-            if chunks:
-                values = np.concatenate(chunks)
+            events.pages_touched += 1
+            events.count_decode(spec.kind, decoded)
+            seq, rand = classify_page_access(
+                in_page, count, bits, calibration.l2_line_bytes
+            )
+            events.mem_seq_lines += seq
+            events.mem_rand_lines += rand
+            l1_seq, l1_rand = classify_page_access(
+                in_page, count, bits, calibration.l1_line_bytes
+            )
+            events.l1_lines += l1_seq + l1_rand
+        if not keep.all():
+            positions = positions[keep]
+            collected = {name: col[keep] for name, col in collected.items()}
+        if chunks:
+            values = np.concatenate(chunks)
+        else:
+            values = np.zeros(0, dtype=codec.attr_type.numpy_dtype())
 
-        mask = np.ones(positions.size, dtype=bool)
-        for index, predicate in enumerate(node.predicates):
-            candidates = positions.size if index == 0 else int(np.count_nonzero(mask))
-            events.predicate_evals += candidates
-            events.predicate_eval_bytes += candidates * node.width
-            mask &= predicate.evaluate(values)
+        mask = apply_predicates(
+            events,
+            node.predicates,
+            {node.attr: values},
+            np.ones(positions.size, dtype=bool),
+            positions.size,
+            self.table.schema,
+        )
 
         if node.predicates:
             # Rewrite: qualifying tuples are copied whole to new blocks.

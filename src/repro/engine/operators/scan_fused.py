@@ -24,7 +24,13 @@ from repro.cpusim.cache import page_lines
 from repro.engine.blocks import Block, split_into_blocks
 from repro.engine.context import ExecutionContext
 from repro.engine.operators.base import Operator
-from repro.engine.operators.scan_row import normalize_row_range
+from repro.engine.pages import (
+    PageSource,
+    apply_predicates,
+    describe_scan,
+    normalize_row_range,
+    project,
+)
 from repro.engine.predicate import Predicate
 from repro.errors import PlanError
 from repro.storage.table import ColumnTable
@@ -48,35 +54,18 @@ class FusedColumnScanner(Operator):
         self.select = tuple(select)
         self.predicates = tuple(predicates)
         self.row_range = normalize_row_range(row_range, table.num_rows)
-        self._attrs = self._scan_attrs()
+        self._attrs = list(dict.fromkeys([p.attr for p in predicates] + list(select)))
+        for name in self._attrs:
+            self.table.schema.attribute(name)
         self._ready: deque[Block] = deque()
         self._done = False
-
-    def _scan_attrs(self) -> list[str]:
-        order = [p.attr for p in self.predicates]
-        order += [name for name in self.select if name not in order]
-        seen: set[str] = set()
-        unique = []
-        for name in order:
-            if name not in seen:
-                seen.add(name)
-                unique.append(name)
-        for name in unique:
-            self.table.schema.attribute(name)
-        return unique
 
     def scan_attribute_order(self) -> list[str]:
         """The columns read (all densely)."""
         return list(self._attrs)
 
     def describe(self) -> str:
-        detail = f"{self.table.schema.name}: {', '.join(self.select)}"
-        if self.predicates:
-            detail += f" | {len(self.predicates)} predicate(s)"
-        lo, hi = self.row_range
-        if (lo, hi) != (0, self.table.num_rows):
-            detail += f" | rows [{lo}, {hi})"
-        return detail
+        return describe_scan(self.table, self.select, self.predicates, self.row_range)
 
     def _open(self) -> None:
         self._ready.clear()
@@ -93,7 +82,7 @@ class FusedColumnScanner(Operator):
     def _execute(self) -> None:
         events = self.events
         calibration = self.context.calibration
-        num_rows = self.table.num_rows
+        schema = self.table.schema
         lo, hi = self.row_range
         window = hi - lo
         # Rows (within the scan window) whose every accessed page
@@ -101,87 +90,56 @@ class FusedColumnScanner(Operator):
         # dense columns stay aligned.
         intact = np.ones(window, dtype=bool)
         columns: dict[str, np.ndarray] = {}
-        for name in self._attrs:
-            column_file = self.table.column_file(name)
-            attr_dtype = self.table.schema.attribute(name).attr_type.numpy_dtype()
-            spec = self.table.schema.attribute(name).spec
-            page_codec = column_file.page_codec
-            bits = page_codec.codec.bits_per_value
+        for page_file in self.table.page_files(self._attrs):
+            [name] = page_file.attrs
+            attr = schema.attribute(name)
+            attr_dtype = attr.attr_type.numpy_dtype()
+            kind = attr.spec.kind
+            bits = self.table.column_file(name).page_codec.codec.bits_per_value
+            source = PageSource.for_reader(self, page_file)
             chunks = []
-            row_base = 0
-            for page_index in range(column_file.file.num_pages if window else 0):
-                self._governance_check()
-                span = column_file.row_span_of_page(page_index, num_rows)
-                if row_base >= hi:
-                    break
-                if row_base + span <= lo:
-                    # Page entirely before the row window: skip, no I/O.
-                    row_base += span
-                    continue
-
-                def decode(page_index=page_index):
-                    _pid, count, payload, state = page_codec.decode_raw(
-                        column_file.file.read_page(page_index)
-                    )
-                    return count, page_codec.codec.decode_page(payload, count, state)
-
-                decoded = self._salvage_decode(
-                    decode, column_file.file.name, page_index, span
-                )
+            covered = lo  # window rows [lo, covered) are assembled
+            for row_base, decoded in source.scan(lo, hi) if window else ():
                 if decoded is None:
-                    # Placeholder keeps this column's offsets aligned
-                    # with the others; the rows are masked out below.
-                    overlap_lo = max(row_base, lo)
-                    overlap_hi = min(row_base + span, hi)
-                    chunks.append(np.zeros(overlap_hi - overlap_lo, dtype=attr_dtype))
-                    intact[overlap_lo - lo : overlap_hi - lo] = False
-                    row_base += span
                     continue
+                if row_base > covered:
+                    # Salvage skipped the page(s) before this one: a
+                    # placeholder keeps this column's offsets aligned
+                    # with the others, and the rows are masked out.
+                    chunks.append(np.zeros(row_base - covered, dtype=attr_dtype))
+                    intact[covered - lo : row_base - lo] = False
                 count, values = decoded
                 # Pages are decoded (and charged) whole; only the slice
                 # overlapping the row window joins the dense columns.
                 start = max(0, lo - row_base)
                 stop = max(start, min(count, hi - row_base))
-                chunks.append(values[start:stop])
-                row_base += count
+                chunks.append(values[name][start:stop])
+                covered = row_base + stop
                 events.pages_touched += 1
-                events.count_decode(spec.kind, count)
+                events.count_decode(kind, count)
                 events.mem_seq_lines += page_lines(
                     count, bits, calibration.l2_line_bytes
                 )
                 events.l1_lines += page_lines(count, bits, calibration.l1_line_bytes)
-            covered = min(row_base, hi)
             if covered < hi:
-                # Truncated column file (salvage open): pad and mask.
-                pad_lo = max(covered, lo)
-                chunks.append(np.zeros(hi - pad_lo, dtype=attr_dtype))
-                intact[pad_lo - lo :] = False
+                # Skipped trailing pages, or a truncated column file
+                # (salvage open): pad and mask.
+                chunks.append(np.zeros(hi - covered, dtype=attr_dtype))
+                intact[covered - lo :] = False
             if chunks:
                 columns[name] = np.concatenate(chunks)
             else:
                 columns[name] = np.zeros(0, dtype=attr_dtype)
 
-        count = window
         # Row-at-a-time iteration across the resident pages.
-        events.tuples_examined += count
-        mask = intact
-        for index, predicate in enumerate(self.predicates):
-            candidates = count if index == 0 else int(np.count_nonzero(mask))
-            events.predicate_evals += candidates
-            events.predicate_eval_bytes += (
-                candidates * self.table.schema.attribute(predicate.attr).width
-            )
-            mask &= predicate.evaluate(columns[predicate.attr])
-
-        qualified = int(np.count_nonzero(mask))
-        selected_width = sum(
-            self.table.schema.attribute(name).width for name in self.select
+        events.tuples_examined += window
+        mask = apply_predicates(
+            events,
+            self.predicates,
+            columns,
+            intact,
+            window,
+            schema,
         )
-        events.values_copied += qualified * len(self.select)
-        events.bytes_copied += qualified * selected_width
-
-        block = Block(
-            columns={name: columns[name][mask] for name in self.select},
-            positions=(lo + np.flatnonzero(mask)).astype(np.int64),
-        )
+        block = project(events, schema, self.select, columns, mask, lo)
         self._ready.extend(split_into_blocks(block, self.context.block_size))

@@ -16,7 +16,15 @@ from repro.cpusim.cache import page_lines
 from repro.engine.blocks import Block, split_into_blocks
 from repro.engine.context import ExecutionContext
 from repro.engine.operators.base import Operator
-from repro.engine.operators.scan_row import normalize_row_range
+from repro.engine.pages import (
+    PageSource,
+    apply_predicates,
+    describe_scan,
+    empty_block,
+    normalize_row_range,
+    project,
+    window_mask,
+)
 from repro.engine.predicate import Predicate
 from repro.errors import PlanError
 from repro.storage.table import PaxTable
@@ -37,20 +45,16 @@ class PaxScanner(Operator):
         if not select:
             raise PlanError("PAX scanner needs a non-empty select list")
         self.table = table
-        for name in select:
-            table.schema.attribute(name)
-        for predicate in predicates:
-            table.schema.attribute(predicate.attr)
         self.select = tuple(select)
         self.predicates = tuple(predicates)
         self.row_range = normalize_row_range(row_range, table.num_rows)
-        order = [p.attr for p in predicates]
-        order += [name for name in select if name not in order]
-        seen: set[str] = set()
-        self._attrs = [n for n in order if not (n in seen or seen.add(n))]
-        self._page_index = 0
+        [page_file] = table.page_files(
+            dict.fromkeys([p.attr for p in predicates] + list(select))
+        )
+        self._attrs = list(page_file.attrs)
+        self._source = PageSource.for_reader(self, page_file)
+        self._pages = iter(())
         self._ready: deque[Block] = deque()
-        self._row_base = 0
         self._emitted_any = False
 
     def scan_attribute_order(self) -> list[str]:
@@ -58,112 +62,50 @@ class PaxScanner(Operator):
         return list(self._attrs)
 
     def describe(self) -> str:
-        detail = f"{self.table.schema.name}: {', '.join(self.select)}"
-        if self.predicates:
-            detail += f" | {len(self.predicates)} predicate(s)"
-        lo, hi = self.row_range
-        if (lo, hi) != (0, self.table.num_rows):
-            detail += f" | rows [{lo}, {hi})"
-        return detail
+        return describe_scan(self.table, self.select, self.predicates, self.row_range)
 
     def _open(self) -> None:
-        self._page_index = 0
+        self._pages = self._source.scan(*self.row_range)
         self._ready.clear()
-        self._row_base = 0
         self._emitted_any = False
 
     def _next(self) -> Block | None:
-        lo, hi = self.row_range
         while not self._ready:
-            if self._page_index >= self.table.file.num_pages or self._row_base >= hi:
+            page = next(self._pages, None)
+            if page is None:
                 if not self._emitted_any:
                     self._emitted_any = True
-                    return self._empty_block()
+                    return empty_block(self.table.schema, self.select)
                 return None
-            self._governance_check()
-            index = self._page_index
-            self._page_index += 1
-            if self._row_base + self.table.row_span_of_page(index) <= lo:
-                # Page entirely before the row window: skip without I/O.
-                self._row_base += self.table.row_span_of_page(index)
-                continue
-            self._process_page(index)
+            row_base, decoded = page
+            if decoded is not None:
+                self._process_page(row_base, *decoded)
         self._emitted_any = True
         return self._ready.popleft()
 
-    def _empty_block(self) -> Block:
-        columns = {
-            name: np.zeros(
-                0, dtype=self.table.schema.attribute(name).attr_type.numpy_dtype()
-            )
-            for name in self.select
-        }
-        return Block(columns=columns, positions=np.zeros(0, dtype=np.int64))
-
-    def _process_page(self, index: int) -> None:
+    def _process_page(self, row_base: int, count: int, columns: dict) -> None:
         events = self.events
         calibration = self.context.calibration
         codec = self.table.page_codec
-        span = self.table.row_span_of_page(index)
-
-        def decode_accessed():
-            page = self.table.file.read_page(index)
-            return {name: codec.decode_attribute(page, name) for name in self._attrs}
-
-        decoded = self._salvage_decode(
-            decode_accessed, self.table.file.name, index, span
-        )
-        if decoded is None:
-            # Salvage: skip the page, keep Record IDs of later pages right.
-            self._row_base += span
-            return
-
-        columns: dict[str, np.ndarray] = {}
-        count = 0
+        schema = self.table.schema
         for name in self._attrs:
-            _pid, count, values = decoded[name]
-            columns[name] = values
-            spec = self.table.schema.attribute(name).spec
-            events.count_decode(spec.kind, count)
+            events.count_decode(schema.attribute(name).spec.kind, count)
             bits = codec.attribute_bits(name)
             # Only the accessed minipages move through the caches.
             events.mem_seq_lines += page_lines(count, bits, calibration.l2_line_bytes)
             events.l1_lines += page_lines(count, bits, calibration.l1_line_bytes)
 
-        # Restrict to the scanner's row window: minipages are decoded
-        # (and charged) whole, but out-of-window tuples are not examined.
-        lo, hi = self.row_range
-        start = max(0, lo - self._row_base)
-        stop = max(start, min(count, hi - self._row_base))
-        in_range = stop - start
-
+        mask, in_range = window_mask(count, row_base, *self.row_range)
         events.pages_touched += 1
         events.tuples_examined += in_range
-
-        if in_range == count:
-            mask = np.ones(count, dtype=bool)
-        else:
-            mask = np.zeros(count, dtype=bool)
-            mask[start:stop] = True
-        for index, predicate in enumerate(self.predicates):
-            candidates = in_range if index == 0 else int(np.count_nonzero(mask))
-            events.predicate_evals += candidates
-            events.predicate_eval_bytes += (
-                candidates * self.table.schema.attribute(predicate.attr).width
-            )
-            mask &= predicate.evaluate(columns[predicate.attr])
-
-        qualified = int(np.count_nonzero(mask))
-        if qualified:
-            selected_width = sum(
-                self.table.schema.attribute(name).width for name in self.select
-            )
-            events.values_copied += qualified * len(self.select)
-            events.bytes_copied += qualified * selected_width
-            positions = self._row_base + np.flatnonzero(mask)
-            block = Block(
-                columns={name: columns[name][mask] for name in self.select},
-                positions=positions,
-            )
+        mask = apply_predicates(
+            events,
+            self.predicates,
+            columns,
+            mask,
+            in_range,
+            schema,
+        )
+        if np.count_nonzero(mask):
+            block = project(events, schema, self.select, columns, mask, row_base)
             self._ready.extend(split_into_blocks(block, self.context.block_size))
-        self._row_base += count

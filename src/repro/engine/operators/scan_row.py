@@ -18,28 +18,20 @@ from repro.compression.base import CodecKind
 from repro.engine.blocks import Block, split_into_blocks
 from repro.engine.context import ExecutionContext
 from repro.engine.operators.base import Operator
+from repro.engine.pages import (
+    PageSource,
+    apply_predicates,
+    describe_scan,
+    empty_block,
+    normalize_row_range,
+    project,
+    window_mask,
+)
 from repro.engine.predicate import Predicate
 from repro.errors import PlanError
 from repro.storage.table import RowTable
 
 _WHOLE_PAGE_KINDS = (CodecKind.FOR_DELTA,)
-
-
-def normalize_row_range(
-    row_range: tuple[int, int] | None, num_rows: int
-) -> tuple[int, int]:
-    """Clamp a half-open ``[lo, hi)`` row window to the table.
-
-    ``None`` means the whole table.  The window is what horizontal
-    partitioning (``repro.storage.partition``) hands each parallel
-    worker; positions emitted under a window stay *global* Record IDs.
-    """
-    if row_range is None:
-        return (0, num_rows)
-    lo, hi = row_range
-    if lo < 0 or hi < lo:
-        raise PlanError(f"invalid row range: [{lo}, {hi})")
-    return (min(lo, num_rows), min(hi, num_rows))
 
 
 class RowScanner(Operator):
@@ -55,94 +47,52 @@ class RowScanner(Operator):
     ):
         super().__init__(context)
         self.table = table
-        for name in select:
-            table.schema.attribute(name)
-        for predicate in predicates:
-            table.schema.attribute(predicate.attr)
+        # Unknown attributes raise SchemaError before the empty check.
+        [page_file] = table.page_files(
+            dict.fromkeys([p.attr for p in predicates] + list(select))
+        )
         if not select:
             raise PlanError("row scanner needs a non-empty select list")
         self.select = tuple(select)
         self.predicates = tuple(predicates)
         self.row_range = normalize_row_range(row_range, table.num_rows)
-        self._page_index = 0
+        self._source = PageSource.for_reader(self, page_file)
+        self._pages = iter(())
         self._ready: deque[Block] = deque()
-        self._row_base = 0
         self._emitted_any = False
         self._schema_compressed = any(
             attr.spec.is_compressed for attr in table.schema
         )
 
     def describe(self) -> str:
-        detail = f"{self.table.schema.name}: {', '.join(self.select)}"
-        if self.predicates:
-            detail += f" | {len(self.predicates)} predicate(s)"
-        lo, hi = self.row_range
-        if (lo, hi) != (0, self.table.num_rows):
-            detail += f" | rows [{lo}, {hi})"
-        return detail
+        return describe_scan(self.table, self.select, self.predicates, self.row_range)
 
     def _open(self) -> None:
-        self._page_index = 0
+        self._pages = self._source.scan(*self.row_range)
         self._ready.clear()
-        self._row_base = 0
         self._emitted_any = False
 
     def _next(self) -> Block | None:
-        lo, hi = self.row_range
         while not self._ready:
-            if self._page_index >= self.table.file.num_pages or self._row_base >= hi:
+            page = next(self._pages, None)
+            if page is None:
                 if not self._emitted_any:
                     # Emit one empty block so the output schema survives
                     # a scan with no qualifying tuples.
                     self._emitted_any = True
-                    return self._empty_block()
+                    return empty_block(self.table.schema, self.select)
                 return None
-            self._governance_check()
-            index = self._page_index
-            self._page_index += 1
-            span = self.table.row_span_of_page(index)
-            if self._row_base + span <= lo:
-                # Page entirely before the row window: skip without I/O.
-                self._row_base += span
-                continue
-            self._process_page(index)
+            row_base, decoded = page
+            if decoded is not None:
+                self._process_page(row_base, *decoded)
         self._emitted_any = True
         return self._ready.popleft()
 
-    def _empty_block(self) -> Block:
-        columns = {
-            name: np.zeros(
-                0, dtype=self.table.schema.attribute(name).attr_type.numpy_dtype()
-            )
-            for name in self.select
-        }
-        return Block(columns=columns, positions=np.zeros(0, dtype=np.int64))
-
-    def _process_page(self, index: int) -> None:
+    def _process_page(self, row_base: int, count: int, columns: dict) -> None:
         events = self.events
         calibration = self.context.calibration
-        decoded = self._salvage_decode(
-            lambda: self.table.page_codec.decode_columns(
-                self.table.file.read_page(index)
-            ),
-            self.table.file.name,
-            index,
-            self.table.row_span_of_page(index),
-        )
-        if decoded is None:
-            # Salvage: skip the corrupt page but advance the global row
-            # position by its nominal span so later pages' Record IDs —
-            # and any position-joined column files — stay aligned.
-            self._row_base += self.table.row_span_of_page(index)
-            return
-        _page_id, count, columns = decoded
-
-        # Restrict to the scanner's row window: the page is decoded (and
-        # charged) whole, but tuples outside [lo, hi) are never examined.
-        lo, hi = self.row_range
-        start = max(0, lo - self._row_base)
-        stop = max(start, min(count, hi - self._row_base))
-        in_range = stop - start
+        schema = self.table.schema
+        mask, in_range = window_mask(count, row_base, *self.row_range)
 
         events.pages_touched += 1
         events.tuples_examined += in_range
@@ -151,38 +101,24 @@ class RowScanner(Operator):
         events.mem_seq_lines += self.table.page_size // calibration.l2_line_bytes
         events.l1_lines += self.table.page_size // calibration.l1_line_bytes
 
-        if in_range == count:
-            mask = np.ones(count, dtype=bool)
-        else:
-            mask = np.zeros(count, dtype=bool)
-            mask[start:stop] = True
         decoded_attrs: set[str] = set()
-        for index, predicate in enumerate(self.predicates):
-            candidates = int(np.count_nonzero(mask)) if index else in_range
-            events.predicate_evals += candidates
-            events.predicate_eval_bytes += (
-                candidates * self.table.schema.attribute(predicate.attr).width
-            )
+        for predicate in self.predicates:
             self._count_decodes(predicate.attr, count, count, decoded_attrs)
-            mask &= predicate.evaluate(columns[predicate.attr])
+        mask = apply_predicates(
+            events,
+            self.predicates,
+            columns,
+            mask,
+            in_range,
+            schema,
+        )
 
         qualified = int(np.count_nonzero(mask))
         if qualified:
             for name in self.select:
                 self._count_decodes(name, count, qualified, decoded_attrs)
-            selected_width = sum(
-                self.table.schema.attribute(name).width for name in self.select
-            )
-            events.values_copied += qualified * len(self.select)
-            events.bytes_copied += qualified * selected_width
-
-            positions = self._row_base + np.flatnonzero(mask)
-            block = Block(
-                columns={name: columns[name][mask] for name in self.select},
-                positions=positions,
-            )
+            block = project(events, schema, self.select, columns, mask, row_base)
             self._ready.extend(split_into_blocks(block, self.context.block_size))
-        self._row_base += count
 
     def _count_decodes(
         self,

@@ -411,6 +411,12 @@ def _run_rung(
         for index in pending:
             heartbeat[index] = started
     try:
+        if governance is not None:
+            # An already-expired query sends the pool nothing: evicting a
+            # pool while its task feeder is still writing a pickled table
+            # into a worker pipe can block the feeder, and the eviction
+            # with it, for good.
+            governance.check("parallel supervisor")
         results = {
             index: pool.apply_async(_execute_task, (submit[index],))
             for index in sorted(pending)

@@ -41,12 +41,20 @@ import numpy as np
 from repro.cpusim.events import CostEvents
 from repro.engine.blocks import Block, concat_blocks, split_into_blocks
 from repro.engine.context import ExecutionContext
-from repro.engine.operators.base import SALVAGEABLE_ERRORS, Operator
+from repro.engine.operators.base import Operator
+from repro.engine.pages import (
+    SALVAGEABLE_ERRORS,
+    PageSource,
+    apply_predicates,
+    describe_scan,
+    empty_block,
+    project,
+)
 from repro.engine.query import ScanQuery
 from repro.errors import EngineError, PlanError
 from repro.obs import metrics as obs_metrics
 from repro.obs import recorder as flight
-from repro.storage.table import ColumnTable, PaxTable, RowTable, Table
+from repro.storage.table import Table
 
 __all__ = [
     "ScanShareManager",
@@ -73,22 +81,23 @@ class _SegmentData:
         self.columns = columns
         #: Boolean mask over [lo, hi): False where a corrupt page's span fell.
         self.valid = valid
-        #: ``(file_name, page_id, decoded, row_span, error)`` per page read.
+        #: ``((file_name, page_id), fault)`` per page read; ``fault`` is
+        #: the :class:`~repro.storage.scrub.PageFault` of a corrupt page,
+        #: else ``None``.
         self.pages = pages
 
 
 class SharedScanStream:
     """One circular scan over ``attrs`` of ``table``, shared by consumers.
 
-    Segments are the driving file's pages: the row file's pages (row
-    and PAX layouts) or the pages of the column file with the *most*
-    pages (column layout — its pages bound the finest row spans, so
-    every other needed column is swept sequentially alongside it
-    through a small rolling page cache and each page still decodes once
-    per pass).
+    The needed columns live in one file (row and PAX layouts) or one
+    file each (column layout).  Segments are the pages of the file with
+    the *most* pages: its pages bound the finest row spans, so every
+    other file is swept sequentially alongside it through a small
+    rolling page cache and each page still decodes once per pass.
     """
 
-    #: Rolling decoded-page cache entries kept per column file.
+    #: Rolling decoded-page cache entries kept per file.
     _CACHE_PAGES = 4
 
     def __init__(self, table: Table, attrs: tuple[str, ...], strict_integrity: bool):
@@ -100,54 +109,41 @@ class SharedScanStream:
         self._consumers: list[SharedScanConsumer] = []
         self._cursor = 0
         self._failed: Exception | None = None
-        #: ``(file_key, page_id) -> (file_name, row_span, error)`` for pages
-        #: that failed to decode (salvage mode keeps going; consumers each
-        #: record the damage once).
-        self._corrupt: dict[tuple, tuple[str, int, Exception]] = {}
-        #: Per-column rolling cache of decoded pages (column layout).
-        self._page_cache: dict[str, dict[int, np.ndarray]] = {}
+        #: The stream's own integrity policy; its report collects every
+        #: corrupt page once, whichever consumers it is delivered to.
+        self._integrity = ExecutionContext(strict_integrity=strict_integrity)
+        #: ``(file_name, page_id) -> PageFault`` for pages that failed to
+        #: decode (salvage mode keeps going; consumers each record the
+        #: damage once).
+        self._corrupt: dict[tuple, object] = {}
+        #: Per-file rolling cache of decoded pages.
+        self._page_cache: dict[str, dict[int, dict]] = {}
+        #: ``(page source, first row of each page)`` per needed file.
+        self._files = []
+        for page_file in table.page_files(self.attrs):
+            spans = [page_file.row_span(p) for p in range(page_file.file.num_pages)]
+            first_rows = np.concatenate([[0], np.cumsum(spans, dtype=np.int64)])
+            self._files.append((PageSource(page_file, self._integrity), first_rows))
         self._segments = self._build_segments()
         #: Lifetime totals (survive consumer detach; feed scheduler stats).
         self.total_attached = 0
 
     # --- geometry ---------------------------------------------------------
 
-    def _build_segments(self) -> list[tuple[int, int, int]]:
-        """``(driving page id, row lo, row hi)`` per segment, in row order."""
-        table = self.table
-        segments: list[tuple[int, int, int]] = []
-        if isinstance(table, (RowTable, PaxTable)):
-            base = 0
-            for page_id in range(table.file.num_pages):
-                span = table.row_span_of_page(page_id)
-                if span > 0:
-                    segments.append((page_id, base, base + span))
-                base += span
-            return segments
-        if isinstance(table, ColumnTable):
-            driver = self._driving_column()
-            if driver is None:
-                return segments
-            column_file = table.column_file(driver)
-            for page_id in range(column_file.file.num_pages):
-                lo = column_file.first_row_of_page(page_id)
-                span = column_file.row_span_of_page(page_id, table.num_rows)
-                if span > 0:
-                    segments.append((page_id, lo, lo + span))
-            return segments
-        raise PlanError(f"unsupported table type for sharing: {type(table).__name__}")
-
-    def _driving_column(self) -> str | None:
-        """The needed column with the most pages (finest segments)."""
-        table = self.table
-        assert isinstance(table, ColumnTable)
-        best: str | None = None
-        best_pages = -1
-        for name in sorted(self.attrs):
-            pages = table.column_file(name).file.num_pages
-            if pages > best_pages:
-                best, best_pages = name, pages
-        return best
+    def _build_segments(self) -> list[tuple[int, int]]:
+        """``(row lo, row hi)`` per segment, in row order."""
+        if not self._files:
+            return []
+        # The file with the most pages; ties go to the first in name order.
+        _source, first_rows = max(
+            sorted(self._files, key=lambda entry: entry[0].page_file.attrs),
+            key=lambda entry: entry[0].page_file.file.num_pages,
+        )
+        return [
+            (int(lo), int(hi))
+            for lo, hi in zip(first_rows[:-1], first_rows[1:])
+            if hi > lo
+        ]
 
     @property
     def num_segments(self) -> int:
@@ -234,155 +230,74 @@ class SharedScanStream:
     # --- decoding ---------------------------------------------------------
 
     def _decode_segment(self, index: int) -> _SegmentData:
-        table = self.table
-        page_id, lo, hi = self._segments[index]
-        if isinstance(table, (RowTable, PaxTable)):
-            return self._decode_paged_segment(table, page_id, lo, hi)
-        assert isinstance(table, ColumnTable)
-        return self._decode_column_segment(table, lo, hi)
-
-    def _read_page(self, file, page_id: int, file_key: str, row_span: int):
-        """One accounted page read (+decode by the caller); None if corrupt.
-
-        The I/O is charged to the stream exactly once per page per pass;
-        a corrupt page is remembered so re-deliveries don't re-read it.
-        """
-        key = (file_key, page_id)
-        if key in self._corrupt:
-            return None
-        self.io_events.pages_touched += 1
-        self.io_events.bytes_read += self.table.page_size
-        obs_metrics.SCHEDULER_SHARED_PAGES.inc()
-        return file.read_page(page_id)
-
-    def _record_corrupt(
-        self, file_key: str, file_name: str, page_id: int, row_span: int, exc
-    ) -> None:
-        if self.strict_integrity:
-            raise exc
-        self._corrupt[(file_key, page_id)] = (file_name, row_span, exc)
-        flight.record(
-            "storage.salvage",
-            file=file_name,
-            page=page_id,
-            error=type(exc).__name__,
-        )
-
-    def _decode_paged_segment(self, table, page_id: int, lo: int, hi: int):
-        """Row/PAX: one segment is exactly one page of the row file."""
-        span = hi - lo
-        file_key = table.file.name
-        pages: list[tuple] = []
-        raw = self._read_page(table.file, page_id, file_key, span)
-        decoded: dict[str, np.ndarray] | None = None
-        if raw is not None:
-            try:
-                if isinstance(table, RowTable):
-                    _pid, _count, columns = table.page_codec.decode_columns(raw)
-                    decoded = {name: columns[name] for name in self.attrs}
-                else:
-                    decoded = {}
-                    for name in self.attrs:
-                        _pid, _count, values = table.page_codec.decode_attribute(
-                            raw, name
-                        )
-                        decoded[name] = values
-            except SALVAGEABLE_ERRORS as exc:
-                self._record_corrupt(file_key, table.file.name, page_id, span, exc)
-                decoded = None
-        if decoded is None:
-            _name, row_span, error = self._corrupt[(file_key, page_id)]
-            pages.append((table.file.name, page_id, False, row_span, error))
-            columns = {
-                name: np.zeros(
-                    span, dtype=table.schema.attribute(name).attr_type.numpy_dtype()
-                )
-                for name in self.attrs
-            }
-            return _SegmentData(lo, hi, columns, np.zeros(span, dtype=bool), pages)
-        pages.append((table.file.name, page_id, True, span, None))
-        return _SegmentData(
-            lo,
-            hi,
-            {name: values[:span] for name, values in decoded.items()},
-            np.ones(span, dtype=bool),
-            pages,
-        )
-
-    def _decode_column_segment(self, table: ColumnTable, lo: int, hi: int):
-        """Column layout: assemble [lo, hi) of every needed column."""
+        """Assemble rows [lo, hi) of every needed column."""
+        lo, hi = self._segments[index]
         span = hi - lo
         valid = np.ones(span, dtype=bool)
         columns: dict[str, np.ndarray] = {}
         pages: list[tuple] = []
-        for name in self.attrs:
-            column_file = table.column_file(name)
-            dtype = table.schema.attribute(name).attr_type.numpy_dtype()
-            out = np.zeros(span, dtype=dtype)
-            page_id = int(
-                column_file.page_of_positions(np.asarray([lo], dtype=np.int64))[0]
-            )
+        schema = self.table.schema
+        for source, first_rows in self._files:
+            attrs = source.page_file.attrs
+            file = source.page_file.file
+            for name in attrs:
+                dtype = schema.attribute(name).attr_type.numpy_dtype()
+                columns[name] = np.zeros(span, dtype=dtype)
+            page_id = int(np.searchsorted(first_rows, lo, side="right")) - 1
             row = lo
             while row < hi:
-                if page_id >= column_file.file.num_pages:
+                if page_id >= file.num_pages:
                     raise EngineError(
-                        f"column {name!r} ran out of pages at row {row} of "
-                        f"[{lo}, {hi})"
+                        f"file {file.name!r} ran out of pages at row "
+                        f"{row} of [{lo}, {hi})"
                     )
-                page_first = column_file.first_row_of_page(page_id)
-                page_span = column_file.row_span_of_page(page_id, table.num_rows)
-                page_end = page_first + page_span
+                page_first = int(first_rows[page_id])
+                page_end = int(first_rows[page_id + 1])
                 take_lo = max(row, page_first)
                 take_hi = min(hi, page_end)
                 if take_hi <= row:
                     page_id += 1
                     continue
-                values = self._column_page_values(column_file, page_id, page_span)
+                key = (file.name, page_id)
+                values = self._page_values(source, key, page_end - page_first)
                 if values is None:
-                    _fname, row_span, error = self._corrupt[
-                        (column_file.file.name, page_id)
-                    ]
-                    pages.append(
-                        (column_file.file.name, page_id, False, row_span, error)
-                    )
+                    pages.append((key, self._corrupt[key]))
                     valid[take_lo - lo : take_hi - lo] = False
                 else:
-                    pages.append(
-                        (column_file.file.name, page_id, True, page_span, None)
-                    )
-                    out[take_lo - lo : take_hi - lo] = values[
-                        take_lo - page_first : take_hi - page_first
-                    ]
+                    pages.append((key, None))
+                    for name in attrs:
+                        columns[name][take_lo - lo : take_hi - lo] = values[name][
+                            take_lo - page_first : take_hi - page_first
+                        ]
                 row = take_hi
                 page_id += 1
-            columns[name] = out
         return _SegmentData(lo, hi, columns, valid, pages)
 
-    def _column_page_values(self, column_file, page_id: int, row_span: int):
-        """One column page's values, through the rolling per-pass cache."""
-        cache = self._page_cache.setdefault(column_file.file.name, {})
+    def _page_values(self, source: PageSource, key: tuple, row_span: int):
+        """One page's decoded columns, through the rolling per-pass cache.
+
+        ``key`` is ``(file name, page id)``.  The I/O is charged to the
+        stream exactly once per page read; a corrupt page is remembered
+        so re-deliveries don't re-read it.  Returns ``None`` for a
+        corrupt page (salvage mode).
+        """
+        if key in self._corrupt:
+            return None
+        name, page_id = key
+        cache = self._page_cache.setdefault(name, {})
         if page_id in cache:
             return cache[page_id]
-        raw = self._read_page(
-            column_file.file, page_id, column_file.file.name, row_span
-        )
-        if raw is None:
-            return None
-        try:
-            _pid, values = column_file.page_codec.decode(raw)
-        except SALVAGEABLE_ERRORS as exc:
-            self._record_corrupt(
-                column_file.file.name,
-                column_file.file.name,
-                page_id,
-                row_span,
-                exc,
-            )
+        self.io_events.pages_touched += 1
+        self.io_events.bytes_read += self.table.page_size
+        obs_metrics.SCHEDULER_SHARED_PAGES.inc()
+        decoded = source.read(page_id, row_span)
+        if decoded is None:
+            self._corrupt[key] = self._integrity.corruption.faults[-1]
             return None
         while len(cache) >= self._CACHE_PAGES:
             cache.pop(next(iter(cache)))
-        cache[page_id] = values
-        return values
+        cache[page_id] = decoded[1]
+        return decoded[1]
 
 
 class SharedScanConsumer(Operator):
@@ -434,14 +349,11 @@ class SharedScanConsumer(Operator):
         )
 
     def describe(self) -> str:
-        detail = (
-            f"{self.share.table.schema.name}: {', '.join(self.select)} | "
+        return (
+            f"{describe_scan(self.share.table, self.select, self.predicates)} | "
             f"shared, attached@segment {self.attach_cursor}/"
             f"{self.share.num_segments}"
         )
-        if self.predicates:
-            detail += f" | {len(self.predicates)} predicate(s)"
-        return detail
 
     @property
     def finished(self) -> bool:
@@ -482,46 +394,33 @@ class SharedScanConsumer(Operator):
         events = self.events
         span = data.hi - data.lo
         corruption = self.context.corruption
-        for file_name, page_id, decoded, row_span, error in data.pages:
-            key = (file_name, page_id)
+        for key, fault in data.pages:
             if key in self._seen_pages:
                 continue
             self._seen_pages.add(key)
-            if decoded:
+            if fault is None:
                 corruption.pages_scanned += 1
             else:
-                obs_metrics.PAGES_SALVAGED.inc()
-                corruption.record(file_name, page_id, row_span, error)
+                corruption.record(fault.file, fault.page, fault.rows_lost, fault.error)
 
-        mask = data.valid.copy()
-        candidates = int(np.count_nonzero(mask))
+        schema = self.share.table.schema
         events.values_examined += span
         decoded_attrs: set[str] = set()
         for predicate in self.predicates:
-            events.predicate_evals += candidates
-            events.predicate_eval_bytes += (
-                candidates
-                * self.share.table.schema.attribute(predicate.attr).width
-            )
             self._count_decodes(predicate.attr, span, decoded_attrs)
-            mask &= predicate.evaluate(data.columns[predicate.attr])
-            candidates = int(np.count_nonzero(mask))
-
-        qualified = candidates
-        if not qualified:
+        mask = apply_predicates(
+            events,
+            self.predicates,
+            data.columns,
+            data.valid.copy(),
+            int(np.count_nonzero(data.valid)),
+            schema,
+        )
+        if not np.count_nonzero(mask):
             return
         for name in self.select:
             self._count_decodes(name, span, decoded_attrs)
-        selected_width = sum(
-            self.share.table.schema.attribute(name).width for name in self.select
-        )
-        events.values_copied += qualified * len(self.select)
-        events.bytes_copied += qualified * selected_width
-        positions = data.lo + np.flatnonzero(mask)
-        block = Block(
-            columns={name: data.columns[name][mask] for name in self.select},
-            positions=positions,
-        )
+        block = project(events, schema, self.select, data.columns, mask, data.lo)
         self._buffered.append((index, block))
 
     def _count_decodes(self, attr_name: str, span: int, decoded_attrs: set) -> None:
@@ -570,21 +469,9 @@ class SharedScanConsumer(Operator):
         self._buffered = []
         merged = concat_blocks(blocks)
         if not len(merged):
-            self._output.append(self._empty_block())
+            self._output.append(empty_block(self.share.table.schema, self.select))
             return
         self._output.extend(split_into_blocks(merged, self.context.block_size))
-
-    def _empty_block(self) -> Block:
-        columns = {
-            name: np.zeros(
-                0,
-                dtype=self.share.table.schema.attribute(
-                    name
-                ).attr_type.numpy_dtype(),
-            )
-            for name in self.select
-        }
-        return Block(columns=columns, positions=np.zeros(0, dtype=np.int64))
 
     def _next(self) -> Block | None:
         while not self._finalized:

@@ -14,6 +14,7 @@ import numpy as np
 from repro.engine.blocks import Block, split_into_blocks
 from repro.engine.context import ExecutionContext
 from repro.engine.operators.base import Operator
+from repro.engine.pages import PageSource, charge_copies, empty_block
 from repro.engine.predicate import Predicate
 from repro.errors import PlanError
 from repro.index.secondary import SecondaryIndex
@@ -38,12 +39,12 @@ class IndexScan(Operator):
             raise PlanError(
                 f"index covers {index.num_rows} rows, table has {table.num_rows}"
             )
-        for name in select:
-            table.schema.attribute(name)
         self.table = table
         self.index = index
         self.predicate = predicate
         self.select = tuple(select)
+        [page_file] = table.page_files(self.select)
+        self._source = PageSource.for_reader(self, page_file)
         self._ready: deque[Block] = deque()
         self._done = False
 
@@ -67,36 +68,34 @@ class IndexScan(Operator):
         events.positions_processed += int(rids.size)
 
         per_page = self.table.page_codec.tuples_per_page
-        columns = {
-            name: [] for name in self.select
-        }
-        if rids.size:
-            page_ids = rids // per_page
-            for page_id in np.unique(page_ids):
-                in_page = rids[page_ids == page_id] - page_id * per_page
-                page = self.table.file.read_page(int(page_id))
-                _pid, _count, decoded = self.table.page_codec.decode_columns(page)
-                events.pages_touched += 1
-                # A fetched page streams through the caches whole.
-                events.mem_seq_lines += (
-                    self.table.page_size // calibration.l2_line_bytes
-                )
-                events.l1_lines += self.table.page_size // calibration.l1_line_bytes
-                for name in self.select:
-                    columns[name].append(decoded[name][in_page])
 
-        materialized = {}
-        for name in self.select:
-            if columns[name]:
-                materialized[name] = np.concatenate(columns[name])
-            else:
-                attr = self.table.schema.attribute(name)
-                materialized[name] = np.zeros(0, dtype=attr.attr_type.numpy_dtype())
-        qualified = int(rids.size)
-        selected_width = sum(
-            self.table.schema.attribute(name).width for name in self.select
-        )
-        events.values_copied += qualified * len(self.select)
-        events.bytes_copied += qualified * selected_width
-        block = Block(columns=materialized, positions=rids)
+        def fetch(raw, page_id, start, stop):
+            _count, columns = self._source.page_file.decode(raw)
+            in_page = rids[start:stop] - page_id * per_page
+            return {name: columns[name][in_page] for name in self.select}
+
+        keep = np.ones(rids.size, dtype=bool)
+        chunks = []
+        for _page_id, start, stop, fetched in self._source.read_positions(
+            rids // per_page, fetch
+        ):
+            if fetched is None:
+                # Salvage: the page's RIDs are dropped from the result.
+                keep[start:stop] = False
+                continue
+            chunks.append(fetched)
+            events.pages_touched += 1
+            # A fetched page streams through the caches whole.
+            events.mem_seq_lines += self.table.page_size // calibration.l2_line_bytes
+            events.l1_lines += self.table.page_size // calibration.l1_line_bytes
+
+        if chunks:
+            columns = {
+                name: np.concatenate([chunk[name] for chunk in chunks])
+                for name in self.select
+            }
+        else:
+            columns = empty_block(self.table.schema, self.select).columns
+        block = Block(columns=columns, positions=rids[keep])
+        charge_copies(events, self.table.schema, self.select, len(block))
         self._ready.extend(split_into_blocks(block, self.context.block_size))

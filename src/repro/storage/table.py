@@ -11,6 +11,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,6 +31,21 @@ def make_row_page_codec(
     if schema_is_compressed(schema):
         return CompressedRowPageCodec(schema, page_size)
     return RowPageCodec(schema, page_size)
+
+
+class PageFile(NamedTuple):
+    """One paged file of a table and how to read its pages.
+
+    ``decode(raw)`` turns one page's bytes into ``(count, columns)``:
+    the page's value count and ``{attr: values}`` for ``attrs``.
+    ``row_span(page_id)`` is the page's nominal row count, known without
+    reading it (skipping pages, estimating the rows a corrupt page held).
+    """
+
+    attrs: tuple[str, ...]
+    file: PagedFile
+    row_span: Callable[[int], int]
+    decode: Callable[[bytes], tuple[int, dict[str, np.ndarray]]]
 
 
 class Table(abc.ABC):
@@ -60,39 +76,43 @@ class Table(abc.ABC):
         """
 
     @abc.abstractmethod
+    def page_files(self, attrs) -> list[PageFile]:
+        """The files a reader of ``attrs`` reads, each with its decode."""
+
     def read_column(self, name: str) -> np.ndarray:
         """Materialize one full column (testing/verification path)."""
+        [page_file] = self.page_files((name,))
+        chunks = [
+            page_file.decode(page)[1][name] for page in page_file.file.iter_pages()
+        ]
+        if not chunks:
+            attr = self.schema.attribute(name)
+            return np.zeros(0, dtype=attr.attr_type.numpy_dtype())
+        return np.concatenate(chunks)
 
     def columns_dict(self) -> dict[str, np.ndarray]:
         """Materialize every column (testing/verification path)."""
         return {name: self.read_column(name) for name in self.schema.attribute_names}
 
 
-class RowTable(Table):
-    """One file of dense row pages."""
+class _SingleFileTable(Table):
+    """One file of pages that each hold every attribute of their rows."""
 
     def __init__(
         self,
         schema: TableSchema,
         file: PagedFile,
         num_rows: int,
-        page_size: int = DEFAULT_PAGE_SIZE,
+        page_size: int,
+        page_codec,
     ):
         super().__init__(schema, num_rows, page_size)
         self.file = file
-        self.page_codec = make_row_page_codec(schema, page_size)
-
-    @property
-    def layout(self) -> Layout:
-        return Layout.ROW
+        self.page_codec = page_codec
 
     @property
     def total_bytes(self) -> int:
         return self.file.size_bytes
-
-    @property
-    def row_stride(self) -> int:
-        return self.page_codec.stride
 
     def pages_for_rows(self, cardinality: int) -> int:
         return math.ceil(cardinality / self.page_codec.tuples_per_page)
@@ -103,21 +123,57 @@ class RowTable(Table):
         return max(0, min(capacity, self.num_rows - page_id * capacity))
 
     def file_sizes_for(self, attrs: list[str], cardinality: int | None = None) -> dict[str, int]:
+        # Every page holds whole rows, so a scan reads the whole file no
+        # matter the projection (PAX included: it only regroups a page).
         for name in attrs:
             self.schema.attribute(name)  # raises SchemaError when unknown
         rows = self.num_rows if cardinality is None else cardinality
         return {self.schema.name: self.pages_for_rows(rows) * self.page_size}
 
-    def read_column(self, name: str) -> np.ndarray:
-        self.schema.attribute(name)
-        chunks = []
-        for page in self.file.iter_pages():
-            _page_id, _count, columns = self.page_codec.decode_columns(page)
-            chunks.append(columns[name])
-        if not chunks:
-            attr = self.schema.attribute(name)
-            return np.zeros(0, dtype=attr.attr_type.numpy_dtype())
-        return np.concatenate(chunks)
+    @abc.abstractmethod
+    def decode_page(self, raw: bytes, attrs) -> tuple[int, dict[str, np.ndarray]]:
+        """``(count, {attr: values})`` of one page for ``attrs``."""
+
+    def page_files(self, attrs) -> list[PageFile]:
+        attrs = tuple(attrs)
+        for name in attrs:
+            self.schema.attribute(name)
+        return [
+            PageFile(
+                attrs,
+                self.file,
+                self.row_span_of_page,
+                lambda raw: self.decode_page(raw, attrs),
+            )
+        ]
+
+
+class RowTable(_SingleFileTable):
+    """One file of dense row pages."""
+
+    def __init__(
+        self,
+        schema: TableSchema,
+        file: PagedFile,
+        num_rows: int,
+        page_size: int = DEFAULT_PAGE_SIZE,
+    ):
+        super().__init__(
+            schema, file, num_rows, page_size, make_row_page_codec(schema, page_size)
+        )
+
+    @property
+    def layout(self) -> Layout:
+        return Layout.ROW
+
+    @property
+    def row_stride(self) -> int:
+        return self.page_codec.stride
+
+    def decode_page(self, raw: bytes, attrs) -> tuple[int, dict[str, np.ndarray]]:
+        """A row page decodes every attribute; ``attrs`` are returned."""
+        _page_id, count, columns = self.page_codec.decode_columns(raw)
+        return count, {name: columns[name] for name in attrs}
 
 
 @dataclass
@@ -177,6 +233,22 @@ class ColumnFile:
             end = min(num_rows, start + self.values_per_page)
         return max(0, end - start)
 
+    def page_file(self, num_rows: int) -> PageFile:
+        """This column's file, each page fully decoded."""
+        page_codec = self.page_codec
+        name = self.name
+
+        def decode(raw: bytes) -> tuple[int, dict[str, np.ndarray]]:
+            _page_id, count, payload, state = page_codec.decode_raw(raw)
+            return count, {name: page_codec.codec.decode_page(payload, count, state)}
+
+        return PageFile(
+            (self.name,),
+            self.file,
+            lambda page_id: self.row_span_of_page(page_id, num_rows),
+            decode,
+        )
+
 
 class ColumnTable(Table):
     """One file of dense column pages per attribute."""
@@ -226,19 +298,11 @@ class ColumnTable(Table):
             for name in attrs
         }
 
-    def read_column(self, name: str) -> np.ndarray:
-        column_file = self.column_file(name)
-        chunks = []
-        for page in column_file.file.iter_pages():
-            _page_id, values = column_file.page_codec.decode(page)
-            chunks.append(values)
-        if not chunks:
-            attr = self.schema.attribute(name)
-            return np.zeros(0, dtype=attr.attr_type.numpy_dtype())
-        return np.concatenate(chunks)
+    def page_files(self, attrs) -> list[PageFile]:
+        return [self.column_file(name).page_file(self.num_rows) for name in attrs]
 
 
-class PaxTable(Table):
+class PaxTable(_SingleFileTable):
     """One file of PAX pages: row-store I/O, minipage-grouped contents."""
 
     def __init__(
@@ -248,46 +312,25 @@ class PaxTable(Table):
         num_rows: int,
         page_size: int = DEFAULT_PAGE_SIZE,
     ):
-        super().__init__(schema, num_rows, page_size)
-        self.file = file
         from repro.storage.pax import PaxPageCodec
 
-        self.page_codec = PaxPageCodec(schema, page_size)
+        super().__init__(
+            schema, file, num_rows, page_size, PaxPageCodec(schema, page_size)
+        )
 
     @property
     def layout(self) -> Layout:
         return Layout.PAX
 
-    @property
-    def total_bytes(self) -> int:
-        return self.file.size_bytes
-
-    def pages_for_rows(self, cardinality: int) -> int:
-        return math.ceil(cardinality / self.page_codec.tuples_per_page)
-
-    def row_span_of_page(self, page_id: int) -> int:
-        """Rows one page covers (corruption accounting; see ColumnFile)."""
-        capacity = self.page_codec.tuples_per_page
-        return max(0, min(capacity, self.num_rows - page_id * capacity))
-
-    def file_sizes_for(self, attrs: list[str], cardinality: int | None = None) -> dict[str, int]:
-        # PAX does not change what a page contains, so a scan reads the
-        # whole file no matter the projection — exactly like a row store.
+    def decode_page(self, raw: bytes, attrs) -> tuple[int, dict[str, np.ndarray]]:
+        """Only the minipages of ``attrs`` are decoded."""
+        count = 0
+        columns = {}
         for name in attrs:
-            self.schema.attribute(name)
-        rows = self.num_rows if cardinality is None else cardinality
-        return {self.schema.name: self.pages_for_rows(rows) * self.page_size}
-
-    def read_column(self, name: str) -> np.ndarray:
-        self.schema.attribute(name)
-        chunks = []
-        for page in self.file.iter_pages():
-            _page_id, _count, values = self.page_codec.decode_attribute(page, name)
-            chunks.append(values)
-        if not chunks:
-            attr = self.schema.attribute(name)
-            return np.zeros(0, dtype=attr.attr_type.numpy_dtype())
-        return np.concatenate(chunks)
+            _page_id, count, columns[name] = self.page_codec.decode_attribute(
+                raw, name
+            )
+        return count, columns
 
 
 def build_column_file(

@@ -376,7 +376,7 @@ def test_flight_recorder_sees_write_lifecycle():
 
 
 def test_overlay_apply_matches_operator_path():
-    """Post-hoc overlay application == in-plan HybridUnion, exactly."""
+    """The serial hybrid entry point == overlay applied by hand, exactly."""
     data = generate_orders(ROWS, seed=11)
     table = load_table(data, Layout.COLUMN)
     store = WriteOptimizedStore(data.schema)
